@@ -38,7 +38,7 @@
 
 use std::time::Instant;
 
-use churnbal_cluster::exec::{run_grid_policies_streaming, run_grid_streaming, PointJob};
+use churnbal_cluster::exec::{run_grid_policies_streaming_with_report, PointJob};
 use churnbal_cluster::{run_replications, ChurnModel, McEstimate, QueueBackend, SimOptions};
 use churnbal_cluster::{
     ChannelModel, DownPolicy, NetworkConfig, NodeConfig, SystemConfig, Topology,
@@ -233,12 +233,13 @@ pub fn measure_sweep_grid(quick: bool, seed: u64, repeat: u32) -> SweepGridMeasu
         let mut round_times = Vec::new();
         let mut round_events = 0u64;
         let start = Instant::now();
-        run_grid_streaming(
+        run_grid_policies_streaming_with_report(
             &jobs,
-            &|_, _| Lbp2::new(1.0),
+            1,
+            &|_, _, _| Lbp2::new(1.0),
             SWEEP_GRID_THREADS,
             0,
-            |_, stats| {
+            |_, _, stats| {
                 round_times.extend_from_slice(&stats.completion_times);
                 round_events += stats.total_events;
                 Ok(())
@@ -348,8 +349,8 @@ impl CompareGridMeasurement {
 
 /// Measures the `compare-grid` workload: the `sweep_grid` systems × the
 /// 3-policy comparison set, once through a single
-/// [`run_grid_policies_streaming`] pass (the lab `compare` execution
-/// shape) and once as K sequential [`run_grid_streaming`] sweeps (the
+/// [`run_grid_policies_streaming_with_report`] pass (the lab `compare`
+/// execution shape) and once as K sequential single-policy passes (the
 /// pre-policy-axis way to answer the same question). Sample paths are
 /// cross-checked bit-exactly between the modes before timing is trusted —
 /// which is also the common-random-numbers invariant, measured instead of
@@ -394,7 +395,7 @@ pub fn measure_compare_grid(quick: bool, seed: u64, repeat: u32) -> CompareGridM
         let mut round_times = Vec::new();
         let mut round_events = 0u64;
         let start = Instant::now();
-        run_grid_policies_streaming(
+        run_grid_policies_streaming_with_report(
             &jobs,
             k,
             &|p, v, _| policies[v].build(jobs[p].config).expect("validated"),
@@ -419,12 +420,13 @@ pub fn measure_compare_grid(quick: bool, seed: u64, repeat: u32) -> CompareGridM
         let start = Instant::now();
         for policy in &policies {
             let mut cells: Vec<Vec<f64>> = Vec::with_capacity(jobs.len());
-            run_grid_streaming(
+            run_grid_policies_streaming_with_report(
                 &jobs,
-                &|p, _| policy.build(jobs[p].config).expect("validated"),
+                1,
+                &|p, _, _| policy.build(jobs[p].config).expect("validated"),
                 SWEEP_GRID_THREADS,
                 0,
-                |_, stats| {
+                |_, _, stats| {
                     seq_events += stats.total_events;
                     cells.push(stats.completion_times);
                     Ok(())

@@ -29,12 +29,16 @@
 //! The in-order drain then makes the *observable output* (rows, bytes)
 //! independent of scheduling too; both invariants are pinned by tests.
 //!
-//! [`run_grid_policies_streaming`] additionally flattens a **policy
-//! axis** into the same task space: `N` policies evaluate per grid point
-//! in one pass, every variant's replication `r` reusing the *identical*
-//! `(seed, r)` streams — common random numbers across policies by
-//! construction, which is what makes paired policy deltas a
+//! The task space also flattens a **policy axis**: `N` policies evaluate
+//! per grid point in one pass, every variant's replication `r` reusing
+//! the *identical* `(seed, r)` streams — common random numbers across
+//! policies by construction, which is what makes paired policy deltas a
 //! variance-reduction device rather than a subtraction of noise.
+//!
+//! Two entry points share one implementation:
+//! [`run_grid_policies_streaming_with_report`] runs a fresh pass, and
+//! [`run_grid_policies_resumable`] replays cells an interrupted pass
+//! already completed (a write-ahead journal's resume).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -373,55 +377,13 @@ impl ExecReport {
     }
 }
 
-/// Executes every `(point, replication)` task of `jobs` on a shared
-/// worker pool and hands each point's [`PointStats`] to `on_point` **in
-/// grid order** as points complete (a reorder buffer holds points that
-/// finish early). `make_policy(point, rep)` builds the policy for one
-/// replication. `threads = 0` picks the available parallelism; results
-/// are independent of `threads` and `chunk` (0 = auto) by construction.
-///
-/// The single-policy form of [`run_grid_policies_streaming`] — one
-/// variant per point, so the flattened task order (and every sampled
-/// byte) is exactly the pre-variant scheduler's.
-///
-/// With `threads == 1` no worker thread is spawned at all: the calling
-/// thread executes the flattened task space in order, which is also the
-/// bit-exact reference schedule for the parallel path.
-///
-/// # Errors
-/// Propagates the first error `on_point` returns; remaining work is
-/// abandoned (workers stop at their next chunk claim).
-///
-/// # Panics
-/// Panics if any job has `reps == 0`. A panic *inside a task* does not
-/// propagate: the replication is quarantined (see [`QuarantineReport`])
-/// and the sweep completes degraded.
-pub fn run_grid_streaming<P, F, G>(
-    jobs: &[PointJob<'_>],
-    make_policy: &F,
-    threads: usize,
-    chunk: usize,
-    mut on_point: G,
-) -> Result<(), String>
-where
-    P: Policy,
-    F: Fn(usize, u64) -> P + Sync,
-    G: FnMut(usize, PointStats) -> Result<(), String>,
-{
-    run_grid_policies_streaming(
-        jobs,
-        1,
-        &|p, _v, r| make_policy(p, r),
-        threads,
-        chunk,
-        |p, _v, stats| on_point(p, stats),
-    )
-}
-
 /// Executes the full `(point, policy, replication)` task space of
 /// `jobs × policies` on one shared worker pool — the **policy axis** of a
 /// comparison study, evaluated in a single scheduler pass instead of
-/// `policies` sequential sweeps.
+/// `policies` sequential sweeps — and returns the pass's runtime
+/// instrumentation: per-worker tasks/chunks/rebinds/events and busy time
+/// plus the overall wall clock (see [`ExecReport`]). The report is
+/// observational only and never digested.
 ///
 /// Replication `r` of *every* policy variant of point `p` runs on the
 /// streams derived from `(jobs[p].seed, r)`: common random numbers across
@@ -431,42 +393,17 @@ where
 /// them keeps its simulator bound ([`Simulator::reset`], not
 /// [`Simulator::rebind`]) — event-queue slots, SoA node columns and
 /// scratch buffers are shared across the whole policy set of the point.
+/// A single-policy grid (`policies == 1`) is a plain sweep.
 ///
 /// `make_policy(point, policy, rep)` builds one variant's policy;
 /// `on_cell(point, policy, stats)` fires in lexicographic
 /// `(point, policy)` order (the reorder buffer holds early finishers), so
 /// a paired-delta consumer always sees a point's baseline variant first.
-///
-/// # Errors
-/// Propagates the first error `on_cell` returns; remaining work is
-/// abandoned (workers stop at their next chunk claim).
-///
-/// # Panics
-/// Panics if `policies == 0` or if any job has `reps == 0`. A panic
-/// *inside a task* does not propagate: the replication is quarantined
-/// (see [`QuarantineReport`]) and the sweep completes degraded.
-pub fn run_grid_policies_streaming<P, F, G>(
-    jobs: &[PointJob<'_>],
-    policies: usize,
-    make_policy: &F,
-    threads: usize,
-    chunk: usize,
-    on_cell: G,
-) -> Result<(), String>
-where
-    P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
-    G: FnMut(usize, usize, PointStats) -> Result<(), String>,
-{
-    run_grid_policies_streaming_with_report(jobs, policies, make_policy, threads, chunk, on_cell)
-        .map(|_| ())
-}
-
-/// [`run_grid_policies_streaming`] that additionally returns the pass's
-/// runtime instrumentation — per-worker tasks/chunks/rebinds/events and
-/// busy time plus the overall wall clock (see [`ExecReport`]). The
-/// simulation results delivered to `on_cell` are identical to the plain
-/// variant; the report is observational only and never digested.
+/// `threads = 0` picks the available parallelism and `chunk = 0` the
+/// default chunk size; results are independent of both by construction.
+/// With `threads == 1` no worker thread is spawned at all: the calling
+/// thread executes the flattened task space in order, which is also the
+/// bit-exact reference schedule for the parallel path.
 ///
 /// # Errors
 /// Propagates the first error `on_cell` returns; remaining work is
@@ -994,10 +931,17 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, chunk, |p, stats| {
-            out.push((p, stats));
-            Ok(())
-        })
+        run_grid_policies_streaming_with_report(
+            &jobs,
+            1,
+            &|_, _, _| NoBalancing,
+            threads,
+            chunk,
+            |p, _, stats| {
+                out.push((p, stats));
+                Ok(())
+            },
+        )
         .expect("grid runs");
         out
     }
@@ -1074,10 +1018,17 @@ mod tests {
             },
         }];
         let mut incomplete = 0;
-        run_grid_streaming(&jobs, &|_, _| NoBalancing, 2, 1, |_, stats| {
-            incomplete = stats.incomplete;
-            Ok(())
-        })
+        run_grid_policies_streaming_with_report(
+            &jobs,
+            1,
+            &|_, _, _| NoBalancing,
+            2,
+            1,
+            |_, _, stats| {
+                incomplete = stats.incomplete;
+                Ok(())
+            },
+        )
         .expect("runs");
         assert_eq!(incomplete, 4);
     }
@@ -1098,14 +1049,21 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             let mut seen = 0;
-            let err = run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, 1, |p, _| {
-                seen += 1;
-                if p == 1 {
-                    Err("disk full".to_string())
-                } else {
-                    Ok(())
-                }
-            })
+            let err = run_grid_policies_streaming_with_report(
+                &jobs,
+                1,
+                &|_, _, _| NoBalancing,
+                threads,
+                1,
+                |p, _, _| {
+                    seen += 1;
+                    if p == 1 {
+                        Err("disk full".to_string())
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
             .unwrap_err();
             assert_eq!(err, "disk full", "threads={threads}");
             assert_eq!(seen, 2, "threads={threads}: drain must stop at the error");
@@ -1124,7 +1082,14 @@ mod tests {
             antithetic: false,
             options: SimOptions::default(),
         }];
-        let _ = run_grid_streaming(&jobs, &|_, _| NoBalancing, 1, 1, |_, _| Ok(()));
+        let _ = run_grid_policies_streaming_with_report(
+            &jobs,
+            1,
+            &|_, _, _| NoBalancing,
+            1,
+            1,
+            |_, _, _| Ok(()),
+        );
     }
 
     #[test]
@@ -1146,7 +1111,7 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             let mut cells: Vec<(usize, usize, PointStats)> = Vec::new();
-            run_grid_policies_streaming(
+            run_grid_policies_streaming_with_report(
                 &jobs,
                 2,
                 &|_, _, _| NoBalancing,
@@ -1192,7 +1157,7 @@ mod tests {
             .collect();
         let k_policies = gains().len();
         let mut combined: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-        run_grid_policies_streaming(
+        run_grid_policies_streaming_with_report(
             &jobs,
             k_policies,
             &|_, v, _| gains()[v].clone(),
@@ -1206,10 +1171,17 @@ mod tests {
         .expect("variant pass runs");
         for (v, policy) in gains().into_iter().enumerate() {
             let mut single: Vec<(usize, Vec<f64>)> = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| policy.clone(), 1, 0, |p, stats| {
-                single.push((p, stats.completion_times));
-                Ok(())
-            })
+            run_grid_policies_streaming_with_report(
+                &jobs,
+                1,
+                &|_, _, _| policy.clone(),
+                1,
+                0,
+                |p, _, stats| {
+                    single.push((p, stats.completion_times));
+                    Ok(())
+                },
+            )
             .expect("single pass runs");
             for (p, times) in single {
                 let cell = combined
@@ -1270,10 +1242,17 @@ mod tests {
             .collect();
         for threads in [1, 3, 8] {
             let mut order = Vec::new();
-            run_grid_policies_streaming(&jobs, 3, &|_, _, _| NoBalancing, threads, 1, |p, v, _| {
-                order.push((p, v));
-                Ok(())
-            })
+            run_grid_policies_streaming_with_report(
+                &jobs,
+                3,
+                &|_, _, _| NoBalancing,
+                threads,
+                1,
+                |p, v, _| {
+                    order.push((p, v));
+                    Ok(())
+                },
+            )
             .expect("runs");
             let expected: Vec<(usize, usize)> = (0..jobs.len())
                 .flat_map(|p| (0..3).map(move |v| (p, v)))
@@ -1294,17 +1273,27 @@ mod tests {
             antithetic: false,
             options: SimOptions::default(),
         }];
-        let _ =
-            run_grid_policies_streaming(&jobs, 0, &|_, _, _| NoBalancing, 1, 1, |_, _, _| Ok(()));
+        let _ = run_grid_policies_streaming_with_report(
+            &jobs,
+            0,
+            &|_, _, _| NoBalancing,
+            1,
+            1,
+            |_, _, _| Ok(()),
+        );
     }
 
     #[test]
     fn empty_grid_is_a_no_op() {
-        let called =
-            run_grid_streaming::<NoBalancing, _, _>(&[], &|_, _| NoBalancing, 4, 0, |_, _| {
-                Err("must not be called".into())
-            });
-        assert_eq!(called, Ok(()));
+        let called = run_grid_policies_streaming_with_report::<NoBalancing, _, _>(
+            &[],
+            1,
+            &|_, _, _| NoBalancing,
+            4,
+            0,
+            |_, _, _| Err("must not be called".into()),
+        );
+        assert_eq!(called.map(|report| report.totals().tasks), Ok(0));
     }
 
     #[test]
@@ -1357,10 +1346,17 @@ mod tests {
             .collect();
         let gather = |threads: usize| {
             let mut out = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, 1, |p, stats| {
-                out.push((p, stats));
-                Ok(())
-            })
+            run_grid_policies_streaming_with_report(
+                &jobs,
+                1,
+                &|_, _, _| NoBalancing,
+                threads,
+                1,
+                |p, _, stats| {
+                    out.push((p, stats));
+                    Ok(())
+                },
+            )
             .expect("grid runs");
             out
         };
@@ -1626,10 +1622,17 @@ mod tests {
                 },
             }];
             let mut out = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| NoBalancing, 2, 1, |_, stats| {
-                out.push(stats);
-                Ok(())
-            })
+            run_grid_policies_streaming_with_report(
+                &jobs,
+                1,
+                &|_, _, _| NoBalancing,
+                2,
+                1,
+                |_, _, stats| {
+                    out.push(stats);
+                    Ok(())
+                },
+            )
             .expect("runs");
             out
         };

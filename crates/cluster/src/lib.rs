@@ -52,9 +52,8 @@ pub use config::{
 };
 pub use engine::{simulate, RunSummary, SimOptions, SimOutcome, Simulator};
 pub use exec::{
-    run_grid_policies_resumable, run_grid_policies_streaming,
-    run_grid_policies_streaming_with_report, run_grid_streaming, ExecReport, PointJob, PointStats,
-    QuarantineReport, WorkerReport,
+    run_grid_policies_resumable, run_grid_policies_streaming_with_report, ExecReport, PointJob,
+    PointStats, QuarantineReport, WorkerReport,
 };
 pub use mc::{run_replications, McEstimate};
 pub use policy::{

@@ -58,7 +58,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use churnbal_cluster::exec::{run_grid_policies_resumable, PointJob, PointStats};
+use churnbal_cluster::exec::{run_grid_policies_streaming_with_report, PointJob, PointStats};
 use churnbal_cluster::{SimOptions, SystemConfig};
 use churnbal_core::PolicySpec;
 use churnbal_stochastic::{t_ci95_half_width, Fnv1a, OnlineStats};
@@ -660,17 +660,9 @@ impl Campaign {
                         .system_config()
                         .map_err(|e| format!("spec `{}`: {e}", spec.name))?;
                     for entry in &entries {
-                        let mut policy = entry.spec.clone();
-                        for (param, value) in &point.coords {
-                            if *param == AxisParam::Gain
-                                && policy.gain().is_some()
-                                && !entry.pinned_gain
-                            {
-                                policy = policy.with_gain(*value).map_err(|e| {
-                                    format!("spec `{}`: policy {}: {e}", spec.name, entry.label)
-                                })?;
-                            }
-                        }
+                        let policy = entry.at_point(&point.coords).map_err(|e| {
+                            format!("spec `{}`: policy {}: {e}", spec.name, entry.label)
+                        })?;
                         policy.validate_for(&config).map_err(|e| {
                             format!(
                                 "spec `{}`: scenario {}: policy {}: {e}",
@@ -797,7 +789,7 @@ impl Campaign {
             let cells = &self.cells;
             let mut results: Vec<Option<PointStats>> = Vec::new();
             results.resize_with(pending.len(), || None);
-            run_grid_policies_resumable(
+            run_grid_policies_streaming_with_report(
                 &jobs,
                 1,
                 &|p, _v, r| {
@@ -810,7 +802,6 @@ impl Campaign {
                 },
                 opts.threads,
                 opts.chunk,
-                vec![None; jobs.len()],
                 |p, _v, stats| {
                     results[p] = Some(stats);
                     Ok(())

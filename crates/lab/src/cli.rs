@@ -111,7 +111,7 @@ options (run/sweep/compare/stats):\n\
                              release builds (always on in debug); a violation\n\
                              is a panic naming the leaked tasks\n\
   --quick                    a tenth of the replications (at least 10)\n\
-  --reps N                   replication override\n\
+  --reps N                   replication override (N >= 1)\n\
   --seed S                   master-seed override\n\
   --threads T                worker threads for the whole grid (0 = auto)\n\
   --chunk C                  tasks claimed per scheduler grab (0 = auto)\n\
@@ -313,6 +313,9 @@ fn parse_common<'a>(
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
+    // An explicit `--reps 0` gets the typed error a scenario file with
+    // `reps = 0` gets, instead of a silent substitute.
+    opts.run.checked_reps(&scenario)?;
     if opts.resume && opts.journal.is_none() {
         // Typed up-front rejection: the experiment layer would otherwise
         // only notice once it tries to open a journal that was never
@@ -640,10 +643,6 @@ fn apply_journal(spec: &mut ExperimentSpec, opts: &CliOptions) {
         spec.journal = Some(JournalConfig {
             dir: dir.clone(),
             resume: opts.resume,
-            fsync_every: spec
-                .scenario
-                .journal_fsync_every
-                .unwrap_or(crate::journal::SYNC_EVERY),
         });
     }
 }
@@ -1142,6 +1141,29 @@ mod tests {
                 "missing {} in: {err}",
                 param.key()
             );
+        }
+    }
+
+    #[test]
+    fn zero_reps_is_rejected_with_the_scenario_error() {
+        let expected: String = ScenarioError {
+            scenario: "paper-fig5".into(),
+            kind: ScenarioErrorKind::ZeroReps,
+        }
+        .into();
+        for args in [
+            &["run", "paper-fig5", "--reps", "0", "--format", "csv"][..],
+            &["sweep", "paper-fig5", "--reps", "0"],
+            &[
+                "compare",
+                "paper-fig5",
+                "--policies",
+                "lbp1-optimal,none",
+                "--reps",
+                "0",
+            ],
+        ] {
+            assert_eq!(call(args).unwrap_err(), expected, "{args:?}");
         }
     }
 

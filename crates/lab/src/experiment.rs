@@ -4,7 +4,7 @@
 //! An [`ExperimentSpec`] is `scenario × axes × policy set × options`. Its
 //! [`Experiment`] executes the whole thing in **one pass** through the
 //! shared work-stealing scheduler
-//! ([`churnbal_cluster::exec::run_grid_policies_streaming`]): the policy
+//! ([`churnbal_cluster::exec::run_grid_policies_resumable`]): the policy
 //! set is just another axis of the flattened task space, and replication
 //! `r` of *every* policy at a grid point runs on the streams derived from
 //! `(seed, r)` — common random numbers across policies by construction.
@@ -20,15 +20,21 @@
 //! theory mean joins each row ([`ExperimentSpec::theory`],
 //! [`crate::theory`]).
 //!
-//! The historical `run_scenario` / `run_sweep` / `run_sweep_streaming`
-//! entry points survive as thin deprecated wrappers in [`crate::sweep`];
-//! their output bytes are unchanged (the pinned sweep digests prove it).
+//! This module owns the only row renderer: [`experiment_csv_header`],
+//! [`experiment_csv_row`] and [`experiment_jsonl_row`] print the base
+//! statistics columns of every run, sweep and comparison, then the
+//! theory, delta and telemetry columns the schema asks for. A
+//! single-policy experiment without theory prints exactly the columns a
+//! plain `run` or `sweep` always printed, and the pinned sweep-CSV
+//! digests hold that. [`Experiment::estimate`] is the programmatic
+//! primitive for one base point's raw Monte-Carlo estimate.
 
 use std::io::Write;
 use std::path::Path;
 
 use churnbal_cluster::exec::{
-    run_grid_policies_resumable, run_grid_policies_streaming, ExecReport, PointJob, PointStats,
+    run_grid_policies_resumable, run_grid_policies_streaming_with_report, ExecReport, PointJob,
+    PointStats,
 };
 use churnbal_cluster::mc::McEstimate;
 use churnbal_cluster::{ProbeReport, SimOptions, SystemConfig};
@@ -37,7 +43,9 @@ use churnbal_stochastic::{paired_comparison, Fnv1a, PairedComparison};
 
 use crate::journal::{JournalConfig, RunJournal};
 use crate::scenario::Scenario;
-use crate::sweep::{expand_grid, sample_sd, Axis, AxisParam, RunOptions, SweepRow, SweepSchema};
+use crate::sweep::{
+    csv_field, expand_grid, fnum, json_string, sample_sd, Axis, AxisParam, RunOptions,
+};
 use crate::theory::TheoryCache;
 
 /// One labelled policy of a comparison: the display/CSV label (usually the
@@ -75,6 +83,20 @@ impl PolicyEntry {
             spec,
             pinned_gain: false,
         }
+    }
+
+    /// This entry's policy at a grid point: a `gain` coordinate rewrites
+    /// a gain-bearing entry unless its gain is pinned (`lbp2@0.2` stays
+    /// at 0.2). Gainless and pinned entries ride along the axis as flat
+    /// baselines, exactly the shape of the paper's Fig. 3.
+    pub(crate) fn at_point(&self, coords: &[(AxisParam, f64)]) -> Result<PolicySpec, String> {
+        let mut policy = self.spec.clone();
+        for &(param, value) in coords {
+            if param == AxisParam::Gain && policy.gain().is_some() && !self.pinned_gain {
+                policy = policy.with_gain(value)?;
+            }
+        }
+        Ok(policy)
     }
 }
 
@@ -216,16 +238,6 @@ impl ExperimentSchema {
     pub fn rows(&self) -> usize {
         self.points * self.policies.len()
     }
-
-    /// The sweep-schema view of this experiment (legacy wrapper support).
-    #[must_use]
-    pub fn to_sweep_schema(&self) -> SweepSchema {
-        SweepSchema {
-            scenario: self.scenario.clone(),
-            axes: self.axes.clone(),
-            points: self.points,
-        }
-    }
 }
 
 /// CRN-paired delta of one policy against the baseline policy of the
@@ -299,29 +311,6 @@ pub struct ExperimentRow {
     pub telemetry: ProbeReport,
 }
 
-impl ExperimentRow {
-    /// The legacy sweep-row view: the base statistics columns shared with
-    /// PR 2–4 output (theory/delta extras dropped).
-    #[must_use]
-    pub fn to_sweep_row(&self) -> SweepRow {
-        SweepRow {
-            index: self.index,
-            coords: self.coords.clone(),
-            reps: self.reps,
-            seed: self.seed,
-            policy: self.policy.clone(),
-            mean_completion: self.mean_completion,
-            ci95: self.ci95,
-            sd_completion: self.sd_completion,
-            mean_failures: self.mean_failures,
-            sd_failures: self.sd_failures,
-            mean_tasks_shipped: self.mean_tasks_shipped,
-            sd_tasks_shipped: self.sd_tasks_shipped,
-            incomplete: self.incomplete,
-        }
-    }
-}
-
 /// A consumer of experiment rows. Rows arrive in `(grid point, policy)`
 /// order as cells complete; `begin` always precedes the first row and
 /// `finish` follows the last (when the run succeeds).
@@ -375,16 +364,22 @@ fn json_opt(x: Option<f64>) -> String {
     x.map_or_else(|| "null".to_string(), |v| format!("{v:?}"))
 }
 
-/// The CSV header (with trailing newline) for `schema`: the legacy sweep
-/// columns, then `theory_mean,mc_minus_theory` when theory is joined,
-/// then `delta_mean,delta_sd,delta_ci95` when the experiment is paired.
-/// Built on the PR 3 header renderer, so the base columns are
-/// byte-identical to every pinned sweep CSV.
+/// The CSV header (with trailing newline) for `schema`: scenario, point
+/// and one column per axis, the 11 base statistics columns, then
+/// `theory_mean,mc_minus_theory` when theory is joined,
+/// `delta_mean,delta_sd,delta_ci95` when the experiment is paired, and
+/// the telemetry columns under `--metrics full`.
 #[must_use]
 pub fn experiment_csv_header(schema: &ExperimentSchema) -> String {
-    let mut out = crate::sweep::csv_header(&schema.axes);
-    let base_len = out.len() - 1; // strip the newline, extend, restore
-    out.truncate(base_len);
+    let mut out = String::from("scenario,point");
+    for a in &schema.axes {
+        out.push(',');
+        out.push_str(a.key());
+    }
+    out.push_str(
+        ",policy,reps,seed,mean_completion,ci95,sd_completion,mean_failures,\
+         sd_failures,mean_tasks_shipped,sd_tasks_shipped,incomplete",
+    );
     if schema.theory {
         out.push_str(",theory_mean,mc_minus_theory");
     }
@@ -410,9 +405,25 @@ pub fn experiment_csv_header(schema: &ExperimentSchema) -> String {
 /// One CSV line (with trailing newline) for `row` under `schema`.
 #[must_use]
 pub fn experiment_csv_row(schema: &ExperimentSchema, row: &ExperimentRow) -> String {
-    let mut out = crate::sweep::csv_row(&schema.scenario, &row.to_sweep_row());
-    let base_len = out.len() - 1;
-    out.truncate(base_len);
+    let mut out = format!("{},{}", csv_field(&schema.scenario), row.index);
+    for &(_, v) in &row.coords {
+        out.push(',');
+        out.push_str(&fnum(v));
+    }
+    out.push_str(&format!(
+        ",{},{},{},{:?},{:?},{:?},{:?},{:?},{:?},{:?},{}",
+        csv_field(&row.policy),
+        row.reps,
+        row.seed,
+        row.mean_completion,
+        row.ci95,
+        row.sd_completion,
+        row.mean_failures,
+        row.sd_failures,
+        row.mean_tasks_shipped,
+        row.sd_tasks_shipped,
+        row.incomplete
+    ));
     if schema.theory {
         out.push(',');
         out.push_str(&csv_opt(row.theory_mean));
@@ -464,9 +475,30 @@ pub fn experiment_csv_row(schema: &ExperimentSchema, row: &ExperimentRow) -> Str
 /// One JSON-lines object (with trailing newline) for `row` under `schema`.
 #[must_use]
 pub fn experiment_jsonl_row(schema: &ExperimentSchema, row: &ExperimentRow) -> String {
-    let mut out = crate::sweep::jsonl_row(&schema.scenario, &row.to_sweep_row());
-    let base_len = out.len() - 2; // strip "}\n", extend, restore
-    out.truncate(base_len);
+    let mut out = format!(
+        "{{\"scenario\":{},\"point\":{}",
+        json_string(&schema.scenario),
+        row.index
+    );
+    for &(a, v) in &row.coords {
+        out.push_str(&format!(",\"{}\":{}", a.key(), fnum(v)));
+    }
+    out.push_str(&format!(
+        ",\"policy\":{},\"reps\":{},\"seed\":{},\"mean_completion\":{:?},\
+         \"ci95\":{:?},\"sd_completion\":{:?},\"mean_failures\":{:?},\"sd_failures\":{:?},\
+         \"mean_tasks_shipped\":{:?},\"sd_tasks_shipped\":{:?},\"incomplete\":{}",
+        json_string(&row.policy),
+        row.reps,
+        row.seed,
+        row.mean_completion,
+        row.ci95,
+        row.sd_completion,
+        row.mean_failures,
+        row.sd_failures,
+        row.mean_tasks_shipped,
+        row.sd_tasks_shipped,
+        row.incomplete
+    ));
     if schema.theory {
         out.push_str(&format!(
             ",\"theory_mean\":{},\"mc_minus_theory\":{}",
@@ -540,8 +572,8 @@ pub fn probe_jsonl_row(
          \"time\":{:?},\"up\":{},\"queue_total\":{},\"queue_max\":{},\
          \"queue_p50\":{},\"queue_p99\":{},\"in_transit\":{},\
          \"failures\":{},\"transfers\":{}",
-        crate::sweep::json_string(scenario),
-        crate::sweep::json_string(policy),
+        json_string(scenario),
+        json_string(policy),
         s.time,
         s.up_nodes,
         s.queue_total,
@@ -772,12 +804,12 @@ impl Experiment {
     /// Runs the **base point** of the spec's scenario (axes ignored)
     /// under its first policy — or the scenario's own policy when the set
     /// is empty — and returns the raw Monte-Carlo estimate with every
-    /// per-replication vector. The programmatic primitive behind the
-    /// legacy `run_scenario`; rendered output goes through
+    /// per-replication vector. Rendered output goes through
     /// [`Experiment::run`] instead.
     ///
     /// # Errors
-    /// Propagates scenario/policy validation failures.
+    /// Propagates scenario/policy validation failures, including an
+    /// explicit zero replication count.
     pub fn estimate(&self) -> Result<McEstimate, String> {
         let spec = &self.spec;
         let scenario = &spec.scenario;
@@ -790,23 +822,9 @@ impl Experiment {
         policy
             .validate_for(&config)
             .map_err(|e| format!("scenario {}: {e}", scenario.name))?;
-        let job = PointJob {
-            config: &config,
-            reps: spec.options.effective_reps(scenario).max(1),
-            seed: spec.options.seed.unwrap_or(scenario.seed),
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions {
-                deadline: scenario.deadline,
-                backend: spec.options.backend,
-                probe_dt: spec.options.effective_probe_dt(scenario),
-                task_timeout: spec.options.task_timeout,
-                audit: spec.options.audit,
-                ..SimOptions::default()
-            },
-        };
+        let job = self.point_job(scenario, &config)?;
         let mut stats = None;
-        run_grid_policies_streaming(
+        run_grid_policies_streaming_with_report(
             std::slice::from_ref(&job),
             1,
             &|_, _, r| policy.build_for_rep(&config, r).expect("validated above"),
@@ -820,6 +838,32 @@ impl Experiment {
         Ok(McEstimate::from_point_stats(
             stats.expect("one point always completes"),
         ))
+    }
+
+    /// The scheduler job of one grid point: replications, seed and
+    /// simulation options resolved from the point's scenario and the run
+    /// options.
+    fn point_job<'a>(
+        &self,
+        scenario: &Scenario,
+        config: &'a SystemConfig,
+    ) -> Result<PointJob<'a>, String> {
+        let options = &self.spec.options;
+        Ok(PointJob {
+            config,
+            reps: options.checked_reps(scenario)?,
+            seed: options.seed.unwrap_or(scenario.seed),
+            rep_base: 0,
+            antithetic: false,
+            options: SimOptions {
+                deadline: scenario.deadline,
+                backend: options.backend,
+                probe_dt: options.effective_probe_dt(scenario),
+                task_timeout: options.task_timeout,
+                audit: options.audit,
+                ..SimOptions::default()
+            },
+        })
     }
 
     /// Executes the experiment, streaming rows to `sink` in
@@ -852,11 +896,6 @@ impl Experiment {
             .map(|p| p.coords.iter().map(|&(a, _)| a).collect())
             .unwrap_or_default();
 
-        // Resolve the policy set. Explicit policies inherit every gain
-        // coordinate of a point (a gain axis sweeps each gain-bearing,
-        // non-pinned policy of the comparison; gainless and gain-pinned
-        // policies ride along as flat baselines, exactly the shape of
-        // the paper's Fig. 3).
         let labels: Vec<String> = if spec.policies.is_empty() {
             vec![spec.scenario.policy.kind().to_string()]
         } else {
@@ -868,19 +907,11 @@ impl Experiment {
                 point_policies.push(vec![point.scenario.policy.clone()]);
                 continue;
             }
-            let mut set = Vec::with_capacity(spec.policies.len());
-            for entry in &spec.policies {
-                let mut policy = entry.spec.clone();
-                for &(param, value) in &point.coords {
-                    // An explicitly pinned gain (`lbp2@0.2`) must never
-                    // be silently overwritten by the axis — the entry
-                    // rides along the grid at its own gain instead.
-                    if param == AxisParam::Gain && policy.gain().is_some() && !entry.pinned_gain {
-                        policy = policy.with_gain(value)?;
-                    }
-                }
-                set.push(policy);
-            }
+            let set = spec
+                .policies
+                .iter()
+                .map(|entry| entry.at_point(&point.coords))
+                .collect::<Result<_, _>>()?;
             point_policies.push(set);
         }
 
@@ -918,22 +949,8 @@ impl Experiment {
         let jobs: Vec<PointJob<'_>> = points
             .iter()
             .zip(&configs)
-            .map(|(point, config)| PointJob {
-                config,
-                reps: spec.options.effective_reps(&point.scenario).max(1),
-                seed: spec.options.seed.unwrap_or(point.scenario.seed),
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions {
-                    deadline: point.scenario.deadline,
-                    backend: spec.options.backend,
-                    probe_dt: spec.options.effective_probe_dt(&point.scenario),
-                    task_timeout: spec.options.task_timeout,
-                    audit: spec.options.audit,
-                    ..SimOptions::default()
-                },
-            })
-            .collect();
+            .map(|(point, config)| self.point_job(&point.scenario, config))
+            .collect::<Result<_, _>>()?;
         let probe = jobs.iter().any(|j| j.options.probe_dt.is_some());
 
         let paired = labels.len() > 1;
@@ -964,14 +981,10 @@ impl Experiment {
         // The CLI flag wins; a scenario's own [journal] table journals
         // without resuming (resume is an explicit, per-invocation act).
         let journal_cfg = spec.journal.clone().or_else(|| {
-            spec.scenario.journal_dir.clone().map(|dir| JournalConfig {
-                dir,
-                resume: false,
-                fsync_every: spec
-                    .scenario
-                    .journal_fsync_every
-                    .unwrap_or(crate::journal::SYNC_EVERY),
-            })
+            spec.scenario
+                .journal_dir
+                .clone()
+                .map(|dir| JournalConfig { dir, resume: false })
         });
         let mut preloaded: Vec<Option<PointStats>> = vec![None; points.len() * k];
         let mut journal: Option<RunJournal> = None;
@@ -981,12 +994,7 @@ impl Experiment {
                      drop --journal or disable probing"
                     .into());
             }
-            let (j, records) = RunJournal::open_with(
-                Path::new(&cfg.dir),
-                spec.digest(),
-                cfg.resume,
-                cfg.fsync_every,
-            )?;
+            let (j, records) = RunJournal::open(Path::new(&cfg.dir), spec.digest(), cfg.resume)?;
             for rec in records {
                 if rec.point >= points.len() || rec.policy >= k {
                     return Err(format!(
@@ -1189,34 +1197,21 @@ mod tests {
     }
 
     #[test]
-    fn single_policy_experiment_matches_the_legacy_sweep_bytes() {
-        // The deprecated wrappers must keep their pinned bytes: a
-        // single-policy, no-theory experiment rendered as CSV equals the
-        // legacy sweep CSV byte for byte.
-        #[allow(deprecated)]
-        let legacy = crate::sweep::run_sweep(
-            &registry::get("mmpp-bursty").expect("preset"),
-            &[Axis {
-                param: AxisParam::Gain,
-                values: vec![0.25, 0.75],
-            }],
-            quick(4, 2),
-        )
-        .expect("legacy sweep runs")
-        .to_csv();
-        let result = Experiment::new(ExperimentSpec::sweep(
-            registry::get("mmpp-bursty").expect("preset"),
-            vec![Axis {
-                param: AxisParam::Gain,
-                values: vec![0.25, 0.75],
-            }],
-            quick(4, 2),
-        ))
-        .collect()
-        .expect("experiment runs");
-        assert_eq!(result.to_csv(), legacy);
-        assert!(!result.schema.paired);
-        assert!(!result.schema.theory);
+    fn zero_reps_override_is_rejected_with_the_scenario_error() {
+        let scenario = registry::get("paper-fig5").expect("preset");
+        let expected: String = crate::scenario::ScenarioError {
+            scenario: scenario.name.clone(),
+            kind: crate::scenario::ScenarioErrorKind::ZeroReps,
+        }
+        .into();
+        let experiment = Experiment::new(ExperimentSpec::sweep(scenario, Vec::new(), quick(0, 1)));
+        assert_eq!(experiment.estimate().unwrap_err(), expected);
+        let mut sink = CollectSink::new();
+        assert_eq!(experiment.run(&mut sink).unwrap_err(), expected);
+        assert!(
+            sink.schema.is_none(),
+            "rejected before the sink sees a schema"
+        );
     }
 
     #[test]
@@ -1403,8 +1398,8 @@ mod tests {
     #[test]
     fn gain_axis_on_an_all_gainless_comparison_still_errors_usefully() {
         // The *scenario's* policy carries the axis through expansion, so a
-        // gain axis on a gainless scenario policy errors exactly as the
-        // legacy sweep did.
+        // gain axis on a gainless scenario policy errors exactly as a
+        // plain sweep does.
         let mut scenario = registry::get("paper-fig3").expect("preset");
         scenario.policy = PolicySpec::NoBalancing;
         let err = Experiment::new(ExperimentSpec::compare(

@@ -46,10 +46,6 @@ pub struct JournalConfig {
     /// Replay completed cells from an existing journal instead of
     /// truncating it (`--resume`).
     pub resume: bool,
-    /// `fsync` cadence in appended records (`[journal] fsync_every`,
-    /// default [`SYNC_EVERY`]); the journal additionally always flushes
-    /// on [`RunJournal::finish`] and on drop.
-    pub fsync_every: u64,
 }
 
 /// One journalled `(point, policy)` cell.
@@ -63,11 +59,9 @@ pub struct JournalRecord {
     pub stats: PointStats,
 }
 
-/// Default `fsync` batch size: records are synced every this-many
-/// appends (and once more on [`RunJournal::finish`] and on drop); a
-/// crash loses at most the tail batch, never corrupts earlier lines.
-/// Override per run with `[journal] fsync_every` /
-/// [`JournalConfig::fsync_every`].
+/// `fsync` batch size: records are synced every this-many appends (and
+/// once more on [`RunJournal::finish`] and on drop); a crash loses at
+/// most the tail batch, never corrupts earlier lines.
 pub const SYNC_EVERY: u64 = 32;
 
 /// Journal format version; bumped on any incompatible layout change.
@@ -80,7 +74,6 @@ pub struct RunJournal {
     file: File,
     path: PathBuf,
     appended: u64,
-    sync_every: u64,
 }
 
 impl RunJournal {
@@ -106,27 +99,11 @@ impl RunJournal {
         digest: u64,
         resume: bool,
     ) -> Result<(Self, Vec<JournalRecord>), String> {
-        Self::open_with(dir, digest, resume, SYNC_EVERY)
-    }
-
-    /// [`RunJournal::open`] with an explicit `fsync` cadence
-    /// (`fsync_every` appended records; must be ≥ 1 — the scenario layer
-    /// validates `[journal] fsync_every` before it gets here).
-    ///
-    /// # Errors
-    /// Same failure modes as [`RunJournal::open`].
-    pub fn open_with(
-        dir: &Path,
-        digest: u64,
-        resume: bool,
-        fsync_every: u64,
-    ) -> Result<(Self, Vec<JournalRecord>), String> {
-        let sync_every = fsync_every.max(1);
         fs::create_dir_all(dir)
             .map_err(|e| format!("journal: cannot create {}: {e}", dir.display()))?;
         let path = Self::path_for(dir, digest);
         if resume && path.exists() {
-            return Self::open_existing(path, digest, sync_every);
+            return Self::open_existing(path, digest);
         }
         let mut file = File::create(&path)
             .map_err(|e| format!("journal: cannot create {}: {e}", path.display()))?;
@@ -142,17 +119,12 @@ impl RunJournal {
                 file,
                 path,
                 appended: 0,
-                sync_every,
             },
             Vec::new(),
         ))
     }
 
-    fn open_existing(
-        path: PathBuf,
-        digest: u64,
-        sync_every: u64,
-    ) -> Result<(Self, Vec<JournalRecord>), String> {
+    fn open_existing(path: PathBuf, digest: u64) -> Result<(Self, Vec<JournalRecord>), String> {
         let bytes =
             fs::read(&path).map_err(|e| format!("journal: cannot read {}: {e}", path.display()))?;
         // Journal lines are pure ASCII; a torn tail is still a valid
@@ -194,7 +166,6 @@ impl RunJournal {
                 file,
                 path,
                 appended: 0,
-                sync_every,
             },
             records,
         ))
@@ -254,7 +225,7 @@ impl RunJournal {
             .write_all(line.as_bytes())
             .map_err(|e| format!("journal: cannot write {}: {e}", self.path.display()))?;
         self.appended += 1;
-        if self.appended.is_multiple_of(self.sync_every) {
+        if self.appended.is_multiple_of(SYNC_EVERY) {
             self.sync()?;
         }
         Ok(())
@@ -636,15 +607,16 @@ mod tests {
     }
 
     #[test]
-    fn custom_fsync_cadence_and_drop_flush_round_trip() {
+    fn drop_flush_lands_records_short_of_a_sync_batch() {
         let dir = temp_dir("cadence");
         let digest = 17;
-        let (mut j, _) = RunJournal::open_with(&dir, digest, false, 1).unwrap();
+        let (mut j, _) = RunJournal::open(&dir, digest, false).unwrap();
+        // Fewer records than one `SYNC_EVERY` batch, and no finish():
+        // the drop flush must still land them.
         j.record(0, 0, &sample_stats(2, 0)).unwrap();
         j.record(1, 0, &sample_stats(2, 1)).unwrap();
-        // No finish(): the drop flush must still land the tail records.
         drop(j);
-        let (_j, replayed) = RunJournal::open_with(&dir, digest, true, 7).unwrap();
+        let (_j, replayed) = RunJournal::open(&dir, digest, true).unwrap();
         assert_eq!(replayed.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,22 +12,26 @@
 //! * [`toml`] — a hand-rolled TOML-subset document model, parser and
 //!   serializer (the environment is offline; no serde). Canonical output,
 //!   `parse ∘ serialize = id`, line-numbered errors.
-//! * [`scenario`] — the [`Scenario`] spec and its TOML mapping; builds
-//!   [`SystemConfig`](churnbal_cluster::SystemConfig)s and
-//!   [`PolicySpec`](churnbal_core::PolicySpec)-driven policies on demand.
+//! * [`scenario`] — the [`Scenario`] spec and its TOML mapping (a key or
+//!   table the format does not define is an error, not a silent
+//!   default); builds [`SystemConfig`](churnbal_cluster::SystemConfig)s
+//!   and [`PolicySpec`](churnbal_core::PolicySpec)-driven policies on
+//!   demand.
 //! * [`registry`] — named presets: the paper baselines plus heterogeneous
 //!   speeds, hot-spare recovery, correlated/cascading failures, bursty
 //!   MMPP, diurnal and flash-crowd arrivals, volunteer churn.
-//! * [`sweep`] — grid expansion over axes (gain, failure/recovery scale,
-//!   arrival scale, delay, node count) plus the legacy `run_sweep*`
-//!   wrappers (deprecated; they keep their pinned bytes).
-//! * [`experiment`] — the first-class experiment API: an
-//!   [`ExperimentSpec`] (scenario × axes × **policy set** × options)
-//!   executed in one scheduler pass, streaming rows to [`RowSink`]s
-//!   (CSV / JSON-lines / collect). Multiple policies evaluate per grid
-//!   point on **identical random-number streams**, so rows carry
-//!   CRN-paired deltas with t-based 95% CIs; two-node closed points join
-//!   the Eq. 4 theory mean ([`theory`]).
+//! * [`sweep`] — sweep axes (gain, failure/recovery scale, arrival
+//!   scale, delay, node count), grid expansion and the shared
+//!   [`RunOptions`].
+//! * [`experiment`] — the one execution and rendering API behind `run`,
+//!   `sweep` and `compare`: an [`ExperimentSpec`] (scenario × axes ×
+//!   **policy set** × options) executed in one scheduler pass, streaming
+//!   rows to [`RowSink`]s (CSV / JSON-lines / collect), or
+//!   [`Experiment::estimate`] for one point's raw Monte-Carlo estimate.
+//!   Multiple policies evaluate per grid point on **identical
+//!   random-number streams**, so rows carry CRN-paired deltas with
+//!   t-based 95% CIs; two-node closed points join the Eq. 4 theory mean
+//!   ([`theory`]).
 //! * [`journal`] — crash safety: a write-ahead result journal keyed by a
 //!   content digest of the resolved spec, so interrupted campaigns resume
 //!   with byte-identical output (`--journal` / `--resume`).
@@ -78,9 +82,4 @@ pub use journal::{JournalConfig, JournalRecord, RunJournal};
 pub use scenario::{
     ArrivalsSpec, NetworkSpec, NodeSpec, Scenario, ScenarioError, ScenarioErrorKind, TopologySpec,
 };
-pub use sweep::{
-    apply_axis, csv_header, csv_row, expand_grid, jsonl_row, Axis, AxisParam, RunOptions,
-    SweepResult, SweepRow, SweepSchema,
-};
-#[allow(deprecated)]
-pub use sweep::{run_scenario, run_sweep, run_sweep_streaming};
+pub use sweep::{apply_axis, expand_grid, Axis, AxisParam, RunOptions};

@@ -98,7 +98,6 @@ fn base(name: &str, description: &str, m0: [u32; 2], policy: PolicySpec) -> Scen
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes(m0),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -172,7 +171,6 @@ fn hetero_speeds() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(0.5, 1.0 / 30.0, 1.0 / 10.0, 240),
             NodeSpec::new(1.0, 1.0 / 30.0, 1.0 / 10.0, 0),
@@ -202,7 +200,6 @@ fn hot_spare() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(1.5, 1.0 / 12.0, 1.0 / 8.0, 200),
             NodeSpec::new(1.5, 1.0 / 12.0, 1.0 / 8.0, 200),
@@ -231,7 +228,6 @@ fn correlated_failures() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -258,7 +254,6 @@ fn cascading_failures() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 40.0, 1.0 / 10.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -288,7 +283,6 @@ fn adversarial_churn() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -332,7 +326,6 @@ fn mmpp_bursty() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([20, 20]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -364,7 +357,6 @@ fn diurnal() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([10, 10]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -397,7 +389,6 @@ fn flash_crowd() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([10, 10]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -432,7 +423,6 @@ fn volunteer_grid() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(2.0, 0.0, 0.0, 300),
             NodeSpec::new(1.5, 0.0, 0.0, 250),
@@ -484,7 +474,6 @@ fn dynamic_arrivals() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([30, 30]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Fixed(dynamic_arrival_bursts()),
@@ -508,7 +497,6 @@ fn open_system() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([0, 0]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess::poisson(0.8, 90.0).with_batch(1, 4)),
@@ -542,7 +530,6 @@ fn ring() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(96, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -566,7 +553,6 @@ fn torus() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(120, 23),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -591,7 +577,6 @@ fn rack_hierarchy() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(128, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -623,7 +608,6 @@ fn rack_shocks() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(128, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -663,7 +647,6 @@ fn lossy_fabric() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(120, 23),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -695,7 +678,6 @@ fn churn_storm_lossy() -> Scenario {
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -725,7 +707,6 @@ fn paper_system(name: &str, m0: [u32; 2], network: NetworkSpec) -> SystemConfig 
         deadline: None,
         probe_dt: None,
         journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes(m0),
         network,
         arrivals: ArrivalsSpec::None,

@@ -200,12 +200,6 @@ pub struct Scenario {
     /// TOML): completed cells are recorded there for crash-safe resume —
     /// see [`crate::journal`]. The CLI's `--journal` flag overrides it.
     pub journal_dir: Option<String>,
-    /// Optional journal fsync cadence (`[journal] fsync_every = ...` in
-    /// TOML): the journal `fsync`s every this-many appended records
-    /// (default [`crate::journal::SYNC_EVERY`] = 32) and always flushes
-    /// on drop, so short campaigns don't lose tail records on clean exit.
-    /// Only meaningful alongside [`Scenario::journal_dir`].
-    pub journal_fsync_every: Option<u64>,
     /// Node templates (expanding to ≥ 2 nodes).
     pub nodes: Vec<NodeSpec>,
     /// Network parameters.
@@ -302,12 +296,6 @@ pub enum ScenarioErrorKind {
     },
     /// A `[journal]` table with an empty `dir`.
     EmptyJournalDir,
-    /// A `[journal]` table with `fsync_every = 0` (the cadence counts
-    /// appended records; it must be at least 1).
-    ZeroJournalFsync,
-    /// `[journal] fsync_every` configured without a journal `dir` to
-    /// apply it to.
-    JournalFsyncWithoutDir,
     /// `--resume` passed without `--journal`: resume replays the
     /// content-addressed journal, so it must know which directory holds
     /// it.
@@ -337,6 +325,25 @@ pub enum ScenarioErrorKind {
     Policy(String),
     /// Sweep-axis failure (empty values, non-finite entries, ...).
     Axis(String),
+    /// A TOML key the table does not define — a typo that would
+    /// otherwise fall back to a default without a word.
+    UnknownKey {
+        /// Where the key sits: `document root`, `[channel]`,
+        /// `[[node]] #2`, ...
+        table: String,
+        /// The unknown key.
+        key: String,
+        /// The keys this table accepts (for a kind-dependent table, the
+        /// keys of its `kind`).
+        expected: Vec<String>,
+    },
+    /// A `[table]` or `[[table]]` the scenario format does not define.
+    UnknownTable {
+        /// The table header as written, brackets included.
+        table: String,
+        /// The tables the format defines.
+        expected: Vec<&'static str>,
+    },
 }
 
 impl std::fmt::Display for ScenarioErrorKind {
@@ -382,12 +389,6 @@ impl std::fmt::Display for ScenarioErrorKind {
                 write!(f, "probe dt must be positive, got {value}")
             }
             Self::EmptyJournalDir => write!(f, "journal dir must be non-empty"),
-            Self::ZeroJournalFsync => {
-                write!(f, "journal fsync_every must be >= 1 (it counts records)")
-            }
-            Self::JournalFsyncWithoutDir => {
-                write!(f, "journal fsync_every needs a journal dir to apply to")
-            }
             Self::ResumeWithoutJournal => {
                 write!(
                     f,
@@ -408,6 +409,20 @@ impl std::fmt::Display for ScenarioErrorKind {
             Self::NegativeArrivalTime { value } => {
                 write!(f, "fixed arrival time must be >= 0, got {value}")
             }
+            Self::UnknownKey {
+                table,
+                key,
+                expected,
+            } => write!(
+                f,
+                "{table}: unknown key `{key}` (expected {})",
+                expected.join(", ")
+            ),
+            Self::UnknownTable { table, expected } => write!(
+                f,
+                "unknown table `{table}` (expected {})",
+                expected.join(", ")
+            ),
         }
     }
 }
@@ -519,14 +534,6 @@ impl Scenario {
                 return Err(fail(ScenarioErrorKind::EmptyJournalDir));
             }
         }
-        if let Some(every) = self.journal_fsync_every {
-            if self.journal_dir.is_none() {
-                return Err(fail(ScenarioErrorKind::JournalFsyncWithoutDir));
-            }
-            if every == 0 {
-                return Err(fail(ScenarioErrorKind::ZeroJournalFsync));
-            }
-        }
         self.churn
             .validate()
             .map_err(|e| fail(ScenarioErrorKind::Churn(e)))?;
@@ -605,7 +612,10 @@ impl Scenario {
     ///
     /// # Errors
     /// Reports the first syntactic error with its line number, or the
-    /// first semantic error with its section and key.
+    /// first semantic error with its section and key. A key or table the
+    /// format does not define is an error
+    /// ([`ScenarioErrorKind::UnknownKey`] /
+    /// [`ScenarioErrorKind::UnknownTable`]), never silently ignored.
     pub fn from_toml(text: &str) -> Result<Self, String> {
         Self::from_doc(&Doc::parse(text)?)
     }
@@ -635,14 +645,6 @@ impl Scenario {
         if let Some(dir) = &self.journal_dir {
             let mut journal = Table::new();
             journal.set("dir", Value::Str(dir.clone()));
-            // fsync_every only when configured, so pre-existing journal
-            // scenarios keep their exact bytes.
-            if let Some(every) = self.journal_fsync_every {
-                journal.set(
-                    "fsync_every",
-                    Value::Int(i64::try_from(every).unwrap_or(i64::MAX)),
-                );
-            }
             doc.set_table("journal", journal);
         }
 
@@ -857,12 +859,9 @@ impl Scenario {
             None => None,
             Some(t) => Some(req_f64(t, "[probe]", "dt")?),
         };
-        let (journal_dir, journal_fsync_every) = match doc.table("journal") {
-            None => (None, None),
-            Some(t) => (
-                Some(req_str(t, "[journal]", "dir")?),
-                opt_u64(t, "[journal]", "fsync_every")?,
-            ),
+        let journal_dir = match doc.table("journal") {
+            None => None,
+            Some(t) => Some(req_str(t, "[journal]", "dir")?),
         };
 
         let net = doc
@@ -987,6 +986,9 @@ impl Scenario {
             None => ArrivalsSpec::None,
             Some(t) => parse_arrivals(t, doc)?,
         };
+        if !matches!(arrivals, ArrivalsSpec::Fixed(_)) && !doc.array("arrival").is_empty() {
+            return Err("[[arrival]] tables need [arrivals] kind = \"fixed\"".into());
+        }
 
         let mut axes = Vec::new();
         for (i, t) in doc.array("axis").iter().enumerate() {
@@ -1011,7 +1013,7 @@ impl Scenario {
             });
         }
 
-        Ok(Self {
+        let scenario = Self {
             name,
             description,
             reps,
@@ -1019,7 +1021,6 @@ impl Scenario {
             deadline,
             probe_dt,
             journal_dir,
-            journal_fsync_every,
             nodes,
             network,
             arrivals,
@@ -1028,7 +1029,74 @@ impl Scenario {
             topology,
             policy,
             axes,
-        })
+        };
+        check_keys(doc, &scenario.to_doc()).map_err(|kind| ScenarioError {
+            scenario: scenario.name.clone(),
+            kind,
+        })?;
+        Ok(scenario)
+    }
+}
+
+/// Rejects keys and tables the scenario format does not define, so a typo
+/// (`repz = 3`, `[chanel]`) fails loudly instead of silently running a
+/// different experiment. A table accepts the keys the canonical form of
+/// the parsed scenario writes there, so a kind-dependent table accepts
+/// exactly the keys of its `kind`.
+fn check_keys(doc: &Doc, canonical: &Doc) -> Result<(), ScenarioErrorKind> {
+    const TABLES: [&str; 11] = [
+        "[probe]",
+        "[journal]",
+        "[network]",
+        "[policy]",
+        "[churn]",
+        "[channel]",
+        "[topology]",
+        "[arrivals]",
+        "[[node]]",
+        "[[arrival]]",
+        "[[axis]]",
+    ];
+    let known_table = |header: String| {
+        if TABLES.contains(&header.as_str()) {
+            Ok(header)
+        } else {
+            Err(ScenarioErrorKind::UnknownTable {
+                table: header,
+                expected: TABLES.to_vec(),
+            })
+        }
+    };
+    let root = ["name", "description", "reps", "seed", "deadline"];
+    known_keys(&doc.root, "document root".into(), &root)?;
+    for (name, t) in &doc.tables {
+        let header = known_table(format!("[{name}]"))?;
+        // Only the default reliable [channel] has no canonical table.
+        match canonical.table(name) {
+            Some(c) => known_keys(t, header, &c.keys())?,
+            None => known_keys(t, header, &["kind"])?,
+        }
+    }
+    for (name, tables) in &doc.arrays {
+        let header = known_table(format!("[[{name}]]"))?;
+        // The canonical form writes back one table per parsed entry
+        // (stray [[arrival]] tables are rejected while parsing).
+        for (i, (t, c)) in tables.iter().zip(canonical.array(name)).enumerate() {
+            known_keys(t, format!("{header} #{}", i + 1), &c.keys())?;
+        }
+    }
+    Ok(())
+}
+
+/// The first key of `t` outside `expected`, as an error.
+fn known_keys(t: &Table, table: String, expected: &[&str]) -> Result<(), ScenarioErrorKind> {
+    match t.keys().into_iter().find(|key| !expected.contains(key)) {
+        None => Ok(()),
+        Some(key) => Err(ScenarioErrorKind::UnknownKey {
+            table,
+            key: key.to_string(),
+            expected: expected.iter().map(|k| (*k).to_string()).collect(),
+        }),
     }
 }
 
@@ -1165,20 +1233,6 @@ fn req_f64(t: &Table, ctx: &str, key: &str) -> Result<f64, String> {
     ))?;
     v.as_f64()
         .ok_or(format!("{}: expected a number", ctx_key(ctx, key)))
-}
-
-fn opt_u64(t: &Table, ctx: &str, key: &str) -> Result<Option<u64>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or(format!("{}: expected an integer", ctx_key(ctx, key)))?;
-            u64::try_from(i)
-                .map(Some)
-                .map_err(|_| format!("{}: must be >= 0, got {i}", ctx_key(ctx, key)))
-        }
-    }
 }
 
 fn opt_f64(t: &Table, ctx: &str, key: &str) -> Result<Option<f64>, String> {
@@ -1476,6 +1530,114 @@ mod tests {
         let bad_down = text.replace("on_down = \"", "on_down = \"teleport");
         let err = Scenario::from_toml(&bad_down).unwrap_err();
         assert!(err.contains("unknown down policy"), "{err}");
+    }
+
+    /// The typed key-check verdict on a preset's TOML after `edit`.
+    fn key_check(preset: &str, edit: impl Fn(String) -> String) -> Result<(), ScenarioErrorKind> {
+        let sc = registry::get(preset).expect("preset");
+        check_keys(
+            &Doc::parse(&edit(sc.to_toml())).expect("TOML"),
+            &sc.to_doc(),
+        )
+    }
+
+    /// `from_toml`'s error on a preset's TOML after `edit`.
+    fn parse_err(preset: &str, edit: impl Fn(String) -> String) -> String {
+        let text = edit(registry::get(preset).expect("preset").to_toml());
+        Scenario::from_toml(&text).unwrap_err()
+    }
+
+    #[test]
+    fn unknown_root_keys_are_rejected() {
+        let add_repz = |t: String| t.replacen("reps = ", "repz = 3\nreps = ", 1);
+        assert_eq!(
+            key_check("paper-fig5", add_repz),
+            Err(ScenarioErrorKind::UnknownKey {
+                table: "document root".into(),
+                key: "repz".into(),
+                expected: ["name", "description", "reps", "seed", "deadline"]
+                    .map(String::from)
+                    .to_vec(),
+            })
+        );
+        let err = parse_err("paper-fig5", add_repz);
+        assert!(
+            err.starts_with("scenario paper-fig5: document root: unknown key `repz`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unknown_tables_are_rejected() {
+        // A misspelt [channel] would otherwise turn a lossy run reliable.
+        let chanel = |t: String| t.replace("[channel]", "[chanel]");
+        assert!(matches!(
+            key_check("lossy-fabric", chanel),
+            Err(ScenarioErrorKind::UnknownTable { ref table, ref expected })
+                if table == "[chanel]" && expected.contains(&"[channel]")
+        ));
+        let err = parse_err("paper-fig3", |t| t.replace("[[axis]]", "[[axes]]"));
+        assert!(
+            err.contains("unknown table `[[axes]]` (expected [probe]"),
+            "{err}"
+        );
+        // [[arrival]] tables only mean something under fixed arrivals.
+        let err = parse_err("paper-fig5", |t| t + "\n[[arrival]]\ntime = 1.0\n");
+        assert!(err.contains("[[arrival]] tables need"), "{err}");
+    }
+
+    #[test]
+    fn fixed_and_array_tables_reject_unknown_keys() {
+        let err = parse_err("paper-fig5", |t| {
+            t.replace("per_task = ", "per_tasks = 1.0\nper_task = ")
+        });
+        assert!(
+            err.contains("[network]: unknown key `per_tasks` (expected fixed, per_task, law)"),
+            "{err}"
+        );
+        // The journal cadence is a constant, not a key.
+        let err = parse_err("paper-fig5", |t| {
+            t + "\n[journal]\ndir = \"j\"\nfsync_every = 8\n"
+        });
+        assert!(
+            err.contains("[journal]: unknown key `fsync_every` (expected dir)"),
+            "{err}"
+        );
+        let err = parse_err("volunteer-grid", |t| {
+            t.replacen("count = ", "speed = 2.0\ncount = ", 1)
+        });
+        assert!(
+            err.contains("[[node]] #1: unknown key `speed`")
+                && err.contains("initial_tasks, count"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn kind_dependent_tables_accept_only_their_kinds_keys() {
+        let err = parse_err("lossy-fabric", |t| {
+            t.replace("max_retries = ", "max_retry = 1\nmax_retries = ")
+        });
+        assert!(
+            err.contains("[channel]: unknown key `max_retry`") && err.contains("max_retries"),
+            "{err}"
+        );
+        // A key of another kind is unknown too: `lbp2` takes no sender.
+        let err = parse_err("paper-delay-crossover", |t| {
+            t.replace("kind = \"lbp2\"", "kind = \"lbp2\"\nsender = 0")
+        });
+        assert!(
+            err.contains("[policy]: unknown key `sender` (expected kind, gain)"),
+            "{err}"
+        );
+        // The default reliable channel takes only its kind.
+        let err = parse_err("paper-fig5", |t| {
+            t + "\n[channel]\nkind = \"reliable\"\nloss_probability = 0.1\n"
+        });
+        assert!(
+            err.contains("[channel]: unknown key `loss_probability` (expected kind)"),
+            "{err}"
+        );
     }
 
     #[test]

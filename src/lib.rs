@@ -20,8 +20,8 @@
 //! * [`lab`] — the declarative scenario & sweep subsystem: TOML-subset
 //!   experiment specs, a registry of named presets (paper baselines,
 //!   correlated failures, bursty/diurnal/flash-crowd arrivals, volunteer
-//!   churn, …), a deterministic parallel sweep runner and the
-//!   `churnbal-lab` CLI.
+//!   churn, …), the `Experiment` runner behind every run, sweep and
+//!   policy comparison, and the `churnbal-lab` CLI.
 //!
 //! ## Quickstart
 //!
@@ -68,9 +68,6 @@ pub mod prelude {
     pub use churnbal_lab::{
         Axis, AxisParam, Experiment, ExperimentSpec, PolicyEntry, RowSink, RunOptions, Scenario,
     };
-    // Legacy sweep entry points, kept exported until the wrappers go.
-    #[allow(deprecated)]
-    pub use churnbal_lab::{run_scenario, run_sweep};
     pub use churnbal_model::{
         lbp1_cdf, lbp1_moments, mean_from_cdf, optimize_lbp1, optimize_lbp1_deadline, DelayModel,
         TwoNodeParams, WorkState,

@@ -6,11 +6,12 @@
 //! replication `r` sees exactly the trajectory it would have seen in its
 //! own solo sweep, so the difference between two policies' replication-`r`
 //! outcomes isolates the policy, never the noise. The property is checked
-//! at the *rendered byte* level (the legacy sweep-row rendering of each
-//! compare row vs the solo sweep row), over random scenario choices,
-//! policy sets, replication counts and scheduler placements.
+//! at the *rendered byte* level (each compare row and its solo sweep row,
+//! both rendered under the solo run's schema), over random scenario
+//! choices, policy sets, replication counts and scheduler placements.
 
-use churnbal::lab::{csv_row, registry, Experiment, ExperimentSpec, PolicyEntry, RunOptions};
+use churnbal::lab::experiment::experiment_csv_row;
+use churnbal::lab::{registry, Experiment, ExperimentSpec, PolicyEntry, RunOptions};
 use churnbal::prelude::PolicySpec;
 use proptest::prelude::*;
 
@@ -103,8 +104,8 @@ proptest! {
                 .find(|r| r.policy_index == v)
                 .expect("row per policy");
             // Byte-level equality of the shared statistics columns.
-            let a = csv_row(&scenario.name, &compare_row.to_sweep_row());
-            let b = csv_row(&scenario.name, &solo.rows[0].to_sweep_row());
+            let a = experiment_csv_row(&solo.schema, compare_row);
+            let b = experiment_csv_row(&solo.schema, &solo.rows[0]);
             prop_assert_eq!(a, b, "policy {} diverged from its solo sweep", entry.label);
         }
     }
@@ -144,12 +145,12 @@ fn gridded_compare_matches_solo_sweeps() {
             .rows
             .iter()
             .filter(|r| r.policy_index == v)
-            .map(|r| csv_row(&scenario.name, &r.to_sweep_row()))
+            .map(|r| experiment_csv_row(&solo.schema, r))
             .collect();
         let solo_rows: Vec<String> = solo
             .rows
             .iter()
-            .map(|r| csv_row(&scenario.name, &r.to_sweep_row()))
+            .map(|r| experiment_csv_row(&solo.schema, r))
             .collect();
         assert_eq!(compare_rows, solo_rows, "{} grid diverged", entry.label);
     }
